@@ -14,10 +14,12 @@ stresses the fairness reallocator hardest.
 Schema 4 adds the large-rank tier: *phase-traffic* workloads
 (``myrinet-1024``/``myrinet-4096``) replaying SRUMMA phase communication
 straight into the flow network at 1024–4096 ranks — the 1024-rank record
-carries the >=5x engine-modes-on-vs-off acceptance gate, the 4096-rank
-record must beat the pre-modes engine's 1024-rank figure time — and a
+carries the >=5x gate of the product engine over the step-by-step oracle
+(``tests/sim/stepped.py``: one-at-a-time dispatch, full-recompute flat
+max-min filling, one completion entry per flow), the 4096-rank record
+must beat the pre-modes engine's 1024-rank figure time — and a
 *hierarchical* two-level SRUMMA protocol run at 1024 ranks (the CI
-large-rank smoke workload).  Both record the engine-mode counters
+large-rank smoke workload).  Both record the engine fast-path counters
 (``engine_ff_jumps``, ``flows_aggregated``, ``dispatch_batches``).
 
 On top of the single-simulation workloads there is a *sweep-level*
@@ -52,6 +54,7 @@ The pytest wrapper at the bottom is marked ``slow`` and only runs under
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -67,6 +70,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(1, str(REPO_ROOT))  # for the stepped oracle under tests/
 
 from repro.bench.parallel import PointSpec, resolve_jobs, run_points  # noqa: E402
 from repro.bench.traffic import srumma_phase_traffic  # noqa: E402
@@ -76,6 +80,7 @@ from repro.core.schedule import ScheduleOptions  # noqa: E402
 from repro.core.srumma import SrummaOptions  # noqa: E402
 from repro.machines.platforms import get_platform  # noqa: E402
 from repro.sim.cluster import Machine  # noqa: E402
+from tests.sim.stepped import stepped_machines  # noqa: E402
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_wallclock.json"
 SCHEMA_VERSION = 4
@@ -86,10 +91,6 @@ SCHEMA_VERSION = 4
 # the scaled engine must finish a 4096-rank point in less time than the
 # old engine needed for a quarter of the ranks.
 PRE_MODES_1024_CONTENDED_S = 187.09
-
-# All-off tuning: the step-by-step pre-modes engine, for on/off gates.
-MODES_OFF = dict(batched_dispatch=False, fast_forward=False,
-                 aggregation=False)
 
 # (name, machine, nranks, mnk, diagonal_shift).  The contended workload is
 # the acceptance gate: every CPU of a node fetches from the same remote
@@ -115,8 +116,8 @@ WORKLOADS: list[tuple[str, str, int, int, bool]] = [
 # subpanels, base_bytes, off_reps, budget_s).  These replay SRUMMA phase
 # communication straight into the flow network (see repro.bench.traffic)
 # at rank counts where allocation cost *is* the workload.  ``off_reps``
-# extra reps run with every engine mode off — the pre-modes engine — to
-# record ``modes_speedup`` (the 1024-rank acceptance gate is >=5x);
+# extra reps run on the step-by-step oracle to record ``modes_speedup``
+# (the 1024-rank acceptance gate is >=5x);
 # ``budget_s`` asserts an absolute ceiling on the modes-on median (the
 # 4096-rank point must beat the pre-modes engine's 1024-rank figure time).
 PHASE_WORKLOADS: list[tuple[str, str, int, int, int, float, int,
@@ -211,21 +212,22 @@ def run_phase_workload(name: str, machine_name: str, nranks: int,
                        phases: int, subpanels: int, base_bytes: float,
                        off_reps: int, budget_s: float | None,
                        reps: int) -> dict:
-    """Replay SRUMMA phase traffic with the engine modes on (and, for
-    ``off_reps`` extra reps, with the pre-modes step engine) and record
-    the on/off wall-clock ratio.
+    """Replay SRUMMA phase traffic on the product engine (and, for
+    ``off_reps`` extra reps, on the step-by-step oracle) and record the
+    oracle/product wall-clock ratio.
 
     The virtual end time must be bitwise identical across reps *and*
-    across mode settings — the exact-equivalence contract of the modes —
-    or the benchmark aborts.
+    against the oracle — the exact-equivalence contract of the engine's
+    fast paths — or the benchmark aborts.
     """
     spec = get_platform(machine_name)
     virtual_elapsed = None
     stats = None
 
-    def one(tuning: dict) -> float:
+    def one(oracle: bool) -> float:
         nonlocal virtual_elapsed, stats
-        m = Machine(spec, nranks, **tuning)
+        with stepped_machines() if oracle else contextlib.nullcontext():
+            m = Machine(spec, nranks)
         t0 = time.perf_counter()
         st = srumma_phase_traffic(m, phases=phases, subpanels=subpanels,
                                   base_bytes=base_bytes)
@@ -235,12 +237,12 @@ def run_phase_workload(name: str, machine_name: str, nranks: int,
             stats = st
         elif st["virtual_elapsed"] != virtual_elapsed:
             raise AssertionError(
-                f"{name}: virtual elapsed diverged across reps/modes "
+                f"{name}: virtual elapsed diverged across reps/oracle "
                 f"({virtual_elapsed} vs {st['virtual_elapsed']})")
         return dt
 
-    runs = [one({}) for _ in range(reps)]
-    off_runs = [one(MODES_OFF) for _ in range(off_reps)]
+    runs = [one(False) for _ in range(reps)]
+    off_runs = [one(True) for _ in range(off_reps)]
     median = statistics.median(runs)
     rec = {
         "kind": "phases",
@@ -518,7 +520,7 @@ def main(argv=None) -> dict:
         rec = run_phase_workload(name, machine, nranks, phases, subp, base,
                                  off_reps, budget, args.reps)
         records[name] = rec
-        gate = (f", modes off {rec['modes_off_median_s']:.3f}s "
+        gate = (f", stepped oracle {rec['modes_off_median_s']:.3f}s "
                 f"({rec['modes_speedup']}x)"
                 if "modes_speedup" in rec else "")
         print(f"[bench_wallclock] {name}: median {rec['median_s']:.3f}s"
@@ -597,8 +599,9 @@ if pytest is not None:
 
     @pytest.mark.slow
     def test_wallclock_phase_smoke():
-        """Phase-traffic workload runs at a reduced rank count; the on/off
-        virtual-time identity and the speedup fields are recorded."""
+        """Phase-traffic workload runs at a reduced rank count; the
+        product/oracle virtual-time identity and the speedup fields are
+        recorded."""
         rec = run_phase_workload("phase-smoke", "linux-myrinet", 64,
                                  phases=1, subpanels=4,
                                  base_bytes=float(1 << 18),
@@ -612,7 +615,7 @@ if pytest is not None:
     @pytest.mark.slow
     def test_wallclock_phase_gate_vs_recorded():
         """The committed myrinet-1024 phase workload must show the >=5x
-        modes-on vs modes-off gate."""
+        gate of the product engine over the stepped oracle."""
         if not DEFAULT_OUT.exists():
             pytest.skip("no BENCH_wallclock.json recorded yet")
         data = json.loads(DEFAULT_OUT.read_text())
@@ -620,8 +623,8 @@ if pytest is not None:
         if rec is None:
             pytest.skip("myrinet-1024 not recorded yet")
         assert rec["modes_speedup"] >= 5.0, (
-            f"engine modes only {rec['modes_speedup']}x over the "
-            "pre-modes engine at 1024 ranks")
+            f"product engine only {rec['modes_speedup']}x over the "
+            "stepped oracle at 1024 ranks")
 
     @pytest.mark.slow
     def test_wallclock_4096_budget_vs_recorded():

@@ -128,8 +128,7 @@ def summa_multiply(spec: MachineSpec, nranks: int, m: int, n: int, k: int,
                    p: Optional[int] = None, q: Optional[int] = None,
                    kb: int = DEFAULT_KB, payload: str = "real",
                    verify: bool = True, seed: int = 0,
-                   interference=None, faults=None,
-                   tuning: Optional[dict] = None) -> SummaResult:
+                   interference=None, faults=None) -> SummaResult:
     """Run ``C = A @ B`` with SUMMA on a simulated machine."""
     from ..comm.base import run_parallel
 
@@ -170,7 +169,7 @@ def summa_multiply(spec: MachineSpec, nranks: int, m: int, n: int, k: int,
         spans[ctx.rank] = (t0, ctx.now)
 
     run = run_parallel(spec, nranks, rank_fn, interference=interference,
-                       faults=faults, tuning=tuning)
+                       faults=faults)
     elapsed = (max(sp[1] for sp in spans.values())
                - min(sp[0] for sp in spans.values()))
     gflops = 2.0 * m * n * k / elapsed / 1e9 if elapsed > 0 else float("inf")

@@ -5,8 +5,9 @@ generator bookkeeping dominates host time at 1024+ ranks and is identical
 whatever the allocator does.  This module replays only the *communication
 pattern* of a contended SRUMMA phase schedule straight into the
 :class:`~repro.sim.network.FlowNetwork`, which is the regime the
-large-rank engine modes (fast-forward, per-class aggregation, batched
-dispatch) exist for: allocation cost is the workload.
+engine's large-rank fast paths (cohort fast-forward, per-class
+aggregation, batched dispatch) exist for: allocation cost is the
+workload.
 
 The pattern mirrors the paper's no-diagonal-shift access order, the worst
 case Figure 10 measures.  In phase ``t`` every rank ``(i, j)`` of the
@@ -30,8 +31,8 @@ flows:
   flow count.
 
 Everything is deterministic — the virtual end time is asserted bitwise
-identical across reps and across engine-mode settings by the wall-clock
-benchmark and the unit tests.
+identical across reps, and against the stepped oracle in
+``tests/sim/stepped.py``, by the wall-clock benchmark and the unit tests.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def srumma_phase_traffic(machine: Machine, phases: int = 2,
 
     Runs the machine's engine to completion and returns a stats dict:
     ``virtual_elapsed`` (bitwise-deterministic simulated seconds),
-    ``flows`` issued, and the engine-mode counters.
+    ``flows`` issued, and the engine fast-path counters.
     """
     if phases < 1:
         raise ValueError(f"phases must be >= 1, got {phases}")

@@ -363,8 +363,7 @@ class ParallelRun:
 def run_parallel(spec_or_machine, nranks: Optional[int],
                  rank_fn: Callable[[RankContext], Generator],
                  tracer: Optional[Tracer] = None,
-                 interference=None, faults=None,
-                 tuning: Optional[dict] = None) -> ParallelRun:
+                 interference=None, faults=None) -> ParallelRun:
     """Run ``rank_fn(ctx)`` as one simulated process per rank.
 
     ``spec_or_machine`` may be a :class:`~repro.machines.spec.MachineSpec`
@@ -382,10 +381,6 @@ def run_parallel(spec_or_machine, nranks: Optional[int],
     the engine clock and seeded get failures activate in the comm layer.
     ``None`` (the default) leaves ``machine.faults`` unset, which is the
     exact pre-fault-injection code path.
-
-    ``tuning`` forwards engine-mode kwargs to the :class:`Machine` built
-    here (``batched_dispatch`` / ``fast_forward`` / ``aggregation``, all
-    default-on and exact); ignored when an existing machine is passed.
     """
     # Imported here: armci/mpi/shmem import base for Request/RankContext.
     from .armci import Armci, ArmciRuntime
@@ -399,8 +394,7 @@ def run_parallel(spec_or_machine, nranks: Optional[int],
     elif isinstance(spec_or_machine, MachineSpec):
         if nranks is None:
             raise ValueError("nranks required when passing a MachineSpec")
-        machine = Machine(spec_or_machine, nranks, tracer=tracer,
-                          **(tuning or {}))
+        machine = Machine(spec_or_machine, nranks, tracer=tracer)
     else:
         raise TypeError(f"expected MachineSpec or Machine, got {type(spec_or_machine)}")
 
@@ -511,7 +505,7 @@ def run_parallel(spec_or_machine, nranks: Optional[int],
         if not p.ok:
             raise p.value
     elapsed = machine.engine.now - start
-    # Engine-mode hit counters, surfaced next to the fault:* health
+    # Engine fast-path hit counters, surfaced next to the fault:* health
     # namespace so callers (and the wall-clock bench JSON) can see when
     # the fast paths stop firing.
     machine.tracer.counters["engine:ff_jumps"] = machine.net.ff_jumps

@@ -97,8 +97,7 @@ def srumma_multiply(spec: MachineSpec, nranks: int, m: int, n: int, k: int,
                     payload: str = "real", verify: bool = True,
                     seed: int = 0, dtype=np.float64,
                     alpha: float = 1.0, beta: float = 0.0,
-                    interference=None, faults=None,
-                    tuning: Optional[dict] = None) -> MultiplyResult:
+                    interference=None, faults=None) -> MultiplyResult:
     """Run ``C = alpha * op(A) @ op(B) + beta * C`` with SRUMMA.
 
     With ``beta != 0`` the initial C is a seeded random matrix (so the
@@ -167,7 +166,7 @@ def srumma_multiply(spec: MachineSpec, nranks: int, m: int, n: int, k: int,
         return stats
 
     run = run_parallel(spec, nranks, rank_fn, interference=interference,
-                       faults=faults, tuning=tuning)
+                       faults=faults)
     t_start = min(s[0] for s in spans.values())
     t_end = max(s[1] for s in spans.values())
     elapsed = t_end - t_start

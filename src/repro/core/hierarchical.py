@@ -181,8 +181,7 @@ def hierarchical_rank(ctx: RankContext, dist_a: Block2D, dist_b: Block2D,
 def hierarchical_multiply(spec: MachineSpec, nranks: int, m: int, n: int,
                           k: int, kb: Optional[int] = None,
                           payload: str = "real", verify: bool = True,
-                          seed: int = 0, tuning: Optional[dict] = None,
-                          interference=None, faults=None
+                          seed: int = 0, interference=None, faults=None
                           ) -> HierarchicalResult:
     """Run ``C = A @ B`` with the two-level hierarchical SRUMMA."""
     from ..comm.base import run_parallel
@@ -194,7 +193,7 @@ def hierarchical_multiply(spec: MachineSpec, nranks: int, m: int, n: int,
 
     # The domain layout comes from the machine, so build it first and run
     # the ranks on the same instance.
-    machine = Machine(spec, nranks, **(tuning or {}))
+    machine = Machine(spec, nranks)
     n_domains = machine.n_domains
     pn, qn = choose_grid(n_domains)
     dist_a = Block2D(m, k, pn, qn)

@@ -365,12 +365,6 @@ class BlockCyclic2D:
         cols = min(self.nb, self.n - tj * self.nb)
         return rows, cols
 
-    def tile_slices(self, ti: int, tj: int) -> tuple[slice, slice]:
-        r0 = ti * self.mb
-        c0 = tj * self.nb
-        rows, cols = self.tile_shape(ti, tj)
-        return slice(r0, r0 + rows), slice(c0, c0 + cols)
-
     # -- local packed layout ------------------------------------------------------
     def local_row_tiles(self, pi: int) -> list[int]:
         """Tile-row indices owned by grid row pi, in order."""

@@ -271,11 +271,6 @@ class GlobalArray:
         index = self._local_index(owner, rows, cols)
         return self.ctx.shmem.view(owner, self._key, index=index)
 
-    def patch_access_penalty(self, rows: tuple[int, int],
-                             cols: tuple[int, int]) -> bool:
-        """Whether a direct view of this patch pays the remote-kernel penalty."""
-        return self.ctx.shmem.direct_access_penalty(self.patch_owner(rows, cols))
-
     # -- verification helpers (outside simulated time) ------------------------------------
     @staticmethod
     def assemble(runtime: ArmciRuntime, name: str, dist: Block2D,

@@ -52,23 +52,14 @@ class Machine:
 
     def __init__(self, spec: MachineSpec, nranks: int,
                  engine: Optional[Engine] = None,
-                 tracer: Optional[Tracer] = None,
-                 batched_dispatch: bool = True,
-                 fast_forward: bool = True,
-                 aggregation: bool = True):
+                 tracer: Optional[Tracer] = None):
         if nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
         self.spec = spec
         self.nranks = nranks
-        # Engine-mode switches (all exact; see docs/performance.md,
-        # "Scaling to thousands of ranks").  Passing False restores the
-        # corresponding step-by-step code path; an externally supplied
-        # engine keeps whatever dispatch mode it was built with.
-        self.engine = (engine if engine is not None
-                       else Engine(batched_dispatch=batched_dispatch))
+        self.engine = engine if engine is not None else Engine()
         self.tracer = tracer if tracer is not None else Tracer()
-        self.net = FlowNetwork(self.engine, fast_forward=fast_forward,
-                               aggregation=aggregation)
+        self.net = FlowNetwork(self.engine)
         # OS timeslice for CPU occupancy, set by interference injection
         # (None = compute holds the CPU uninterrupted; daemons then cannot
         # preempt, which is unrealistic under contention).

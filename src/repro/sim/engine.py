@@ -441,6 +441,11 @@ def _as_event(engine: "Engine", target: Any) -> Event:
 class Engine:
     """The event loop: a stable priority queue over ``(time, seq)``.
 
+    :meth:`run` drains every entry sharing the top timestamp in one pass
+    and fires the run in seq order, which is exactly one-at-a-time
+    dispatch; ``tests/sim/stepped.py`` keeps the one-at-a-time loop as the
+    oracle the equivalence tests compare against.
+
     Parameters
     ----------
     trace:
@@ -453,8 +458,7 @@ class Engine:
     #: this floor; below it the garbage is too small to be worth a rebuild.
     COMPACT_FLOOR = 64
 
-    def __init__(self, trace: Optional[Callable[[float, str, str], None]] = None,
-                 batched_dispatch: bool = True):
+    def __init__(self, trace: Optional[Callable[[float, str, str], None]] = None):
         self.now: float = 0.0
         self._heap: list[tuple[float, int, _ScheduledCall]] = []
         self._seq = 0
@@ -465,14 +469,7 @@ class Engine:
         self._live = 0          # non-cancelled entries currently in the heap
         self._compactions = 0
         self._running = False   # True while run() is executing callbacks
-        # Batched dispatch: drain every entry sharing the top timestamp in
-        # one loop pass instead of one peek-pop round trip per event.  Seqs
-        # are globally monotone, so anything a cohort callback schedules at
-        # the same instant sorts after every drained entry — firing the
-        # drained run to completion and then re-checking the heap preserves
-        # the exact (time, seq) order of one-at-a-time dispatch.
-        self._batched = batched_dispatch
-        self._batches = 0
+        self._batches = 0       # same-instant runs drained (see run())
 
     # -- scheduling ------------------------------------------------------
     def _schedule(self, delay: float, fn: Callable[[], None]) -> _ScheduledCall:
@@ -559,7 +556,6 @@ class Engine:
         heap = self._heap
         pop = _heappop
         steps = self._step_count
-        batched = self._batched
         try:
             while heap:
                 t, _seq, call = heap[0]
@@ -572,42 +568,38 @@ class Engine:
                 if t < self.now - 1e-12:
                     raise SimulationError("event heap time went backwards")
                 self.now = t
-                if batched and heap and heap[0][0] == t:
-                    # Same-timestamp cohort: drain it with consecutive pops
-                    # now, then fire in (already sorted) seq order.  Entries
-                    # are NOT pre-marked dead — a cohort member may cancel a
-                    # later member, and that cancel must still take effect —
-                    # so each is claimed (cancelled + live decrement) just
-                    # before its callback runs.
+                # Drain every entry sharing this timestamp with consecutive
+                # pops, then fire them in (already sorted) seq order.  Seqs
+                # are globally monotone, so anything a callback schedules at
+                # this instant sorts after the whole drained run; firing it
+                # to completion and then re-checking the heap is exactly
+                # one-at-a-time (time, seq) dispatch.
+                if heap and heap[0][0] == t:
                     batch = [call]
                     while heap and heap[0][0] == t:
                         nxt = pop(heap)[2]
                         if not nxt.cancelled:
                             batch.append(nxt)
                     self._batches += 1
-                    for c in batch:
-                        if c.cancelled:
-                            continue
-                        c.cancelled = True
-                        self._live -= 1
-                        steps += 1
-                        if steps > max_steps:
-                            raise SimulationError(
-                                f"exceeded {max_steps} engine steps"
-                                + self._crash_detail())
-                        c.fn()
-                    continue
-                # Mark the entry dead *before* firing: it has left the heap,
-                # so a later cancel() of this call must be a no-op (it would
-                # otherwise corrupt the live-entry counter).
-                call.cancelled = True
-                self._live -= 1
-                steps += 1
-                if steps > max_steps:
-                    raise SimulationError(
-                        f"exceeded {max_steps} engine steps"
-                        + self._crash_detail())
-                call.fn()
+                else:
+                    batch = (call,)
+                for c in batch:
+                    # Drained entries are NOT pre-marked dead — a callback
+                    # may cancel a later member, and that cancel must still
+                    # take effect — so each is claimed (cancelled + live
+                    # decrement) just before it fires.  Once claimed, a
+                    # later cancel() of it is a no-op instead of corrupting
+                    # the live-entry counter.
+                    if c.cancelled:
+                        continue
+                    c.cancelled = True
+                    self._live -= 1
+                    steps += 1
+                    if steps > max_steps:
+                        raise SimulationError(
+                            f"exceeded {max_steps} engine steps"
+                            + self._crash_detail())
+                    c.fn()
             else:
                 if until is not None and until > self.now:
                     self.now = until
@@ -659,5 +651,5 @@ class Engine:
 
     @property
     def dispatch_batches(self) -> int:
-        """Same-timestamp cohorts drained in one loop pass (batched mode)."""
+        """Runs of two or more same-timestamp entries drained in one pass."""
         return self._batches

@@ -682,10 +682,6 @@ class FaultInjector:
     def has_crashes(self) -> bool:
         return bool(self.plan.crashes)
 
-    @property
-    def has_detection(self) -> bool:
-        return self.plan.detector is not None
-
     def _crash(self, crash: NodeCrash):
         engine = self.machine.engine
         try:

@@ -192,9 +192,6 @@ class Membership:
         return (target_node in view.confirmed
                 and target_node not in view.rejoined)
 
-    def view_epoch(self, observer_node: int) -> int:
-        return self.views[observer_node].epoch
-
     # -- epoch fencing ------------------------------------------------------
     def claim(self, rank: int) -> int:
         """Fence ``rank``'s block to the current epoch; recovery owns it now.

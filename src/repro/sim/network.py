@@ -21,7 +21,7 @@ Allocator scaling
 -----------------
 Recomputing the global allocation on every flow arrival/departure is
 quadratic-ish in active flows and floods the engine heap with cancelled
-completion entries.  The default ``incremental`` allocator instead:
+completion entries.  The allocator instead:
 
 - restricts each recomputation to the *connected component* of links
   actually touched by the arriving/departing flow (two flows interact only
@@ -32,34 +32,24 @@ completion entries.  The default ``incremental`` allocator instead:
 - coalesces all membership changes of one simulated instant into a single
   reallocation pass (a zero-delay flush event);
 - settles and reschedules a flow only when its allocated rate actually
-  changed, so an undisturbed flow's completion entry stays valid.
-
-``allocator="reference"`` keeps the original full-recompute behaviour
-(every pass covers every active flow) under the same settle/reschedule
-discipline; the property test in
-``tests/sim/test_network_equivalence.py`` cross-checks the two on
-randomized workloads bit-for-bit.  The invariants that make the scoped
-recomputation exact are written up in ``docs/performance.md``.
-
-Large-rank engine modes
------------------------
-Two further (default-on, individually disableable) mechanisms make the
-allocator scale to thousands of ranks; both are *exact*, not approximate
-(see "Scaling to thousands of ranks" in ``docs/performance.md``):
-
-- ``aggregation``: progressive filling groups identical-path flows — which
-  are symmetric under max-min fairness and provably freeze together at the
+  changed, so an undisturbed flow's completion entry stays valid;
+- groups identical-path flows during progressive filling — they are
+  symmetric under max-min fairness and provably freeze together at the
   same share — so a round's bookkeeping scales with distinct path classes,
-  and the bottleneck link is found through a lazily-invalidated min-heap
-  instead of a linear scan over every link in the component.
-- ``fast_forward``: flows of one component whose newly allocated rates
-  give bitwise-identical completion instants share a single scheduled
-  *cohort* entry; the engine jumps straight to the closed-form completion
-  time and services the whole cohort in member order, instead of paying a
-  heap entry (plus its eventual cancellation) per flow.
+  and finds the bottleneck link through a lazily-invalidated min-heap
+  instead of a linear scan over every link in the component;
+- merges identical transfers born at one instant into a single *carrier*
+  flow, and lets flows whose new completion instants are bitwise
+  identical share one scheduled *cohort* entry, so the engine jumps
+  straight to the closed-form completion time and services the whole
+  cohort in member order.
 
-``allocator="reference"`` always runs with both modes off — it is the
-step-by-step oracle the property tests compare against.
+Every one of these is exact, not approximate: ``tests/sim/stepped.py``
+keeps the step-by-step oracle (full recompute over every active flow,
+the flat progressive-filling loop, one completion entry per flow), and
+the equivalence property tests assert ``==`` on every observable against
+it.  The invariants that make this hold are written up in
+``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -174,12 +164,6 @@ class _Cohort:
 
     def fire(self) -> None:
         net = self.net
-        if not net._merge:
-            if len(self.members) > 1:
-                net.ff_jumps += 1
-            for flow in list(self.members):
-                net._finish_flow(flow)
-            return
         # Aggregated fan-out: one entry may finish several carriers, each
         # carrying several logical transfers.  Stepped mode fires the
         # per-member completion entries in scheduling-seq order, which
@@ -230,24 +214,10 @@ class _Cohort:
 class FlowNetwork:
     """Tracks active flows and keeps their rates max-min fair."""
 
-    def __init__(self, engine: Engine, allocator: str = "incremental",
-                 fast_forward: bool = True, aggregation: bool = True):
-        if allocator not in ("incremental", "reference"):
-            raise ValueError(f"unknown allocator {allocator!r}")
+    def __init__(self, engine: Engine):
         self.engine = engine
-        self.allocator = allocator
-        # Engine modes (see module docstring).  The reference allocator is
-        # the step-by-step oracle, so it always runs with both modes off.
-        if allocator == "reference":
-            fast_forward = aggregation = False
-        self.fast_forward = fast_forward
-        self.aggregation = aggregation
-        # Flow merging collapses identical same-instant transfers into one
-        # carrier Flow with fan-out completion.  It needs cohort entries to
-        # reproduce the stepped completion order, so it is active only when
-        # both modes are on (the default).
-        self._merge = fast_forward and aggregation
-        # Flows started since the last flush — the merge candidates.
+        # Flows started since the last flush — the merge candidates for
+        # carrier flows (see _merge_fresh).
         self._fresh: list[Flow] = []
         # Cache of per-path (distinct links, has-duplicates) facts; path
         # tuples recur across thousands of passes.
@@ -277,8 +247,8 @@ class FlowNetwork:
         # Profiling counters (see docs/performance.md).
         self.reallocations = 0
         self.realloc_flow_touches = 0
-        # Mode hit counters: cohort entries that serviced >=2 completions in
-        # one jump, and flows that shared a multi-member path class during
+        # Hit counters: cohort entries that serviced >=2 completions in one
+        # jump, and flows that shared a multi-member path class during
         # grouped filling.  Surfaced as engine:* health counters and in the
         # wall-clock bench JSON so future PRs can see when the fast paths
         # stop firing.
@@ -324,7 +294,7 @@ class FlowNetwork:
 
         Fan-out aware: a carrier flow reports one entry per merged member
         (all bitwise at the carrier's rate), so observers see the same
-        logical traffic whether or not aggregation merged anything.
+        logical traffic whether or not anything was merged.
         """
         out: list[tuple[str, float]] = []
         for f in self._flows:
@@ -388,8 +358,7 @@ class FlowNetwork:
         self._settle_flow(flow)
         self._remove(flow, completed=False)
         self.aborted_flows += 1
-        if (self.allocator == "reference"
-                or any(link.flows for link in flow.path)):
+        if any(link.flows for link in flow.path):
             self._mark_dirty(flow.path)
         return True
 
@@ -433,8 +402,7 @@ class FlowNetwork:
         flow._seq = self._flow_seq
         self._flow_seq += 1
         self._flows[flow] = None
-        if (self.allocator == "incremental"
-                and not any(link.flows for link in flow.path)):
+        if not any(link.flows for link in flow.path):
             # Disjoint uncontended join: no existing flow shares any link
             # with this one, so no existing rate can change, and this
             # flow's max-min rate is exactly its path's bottleneck
@@ -448,8 +416,7 @@ class FlowNetwork:
             return
         for link in flow.path:
             link.flows[flow] = None
-        if self._merge:
-            self._fresh.append(flow)
+        self._fresh.append(flow)
         self._mark_dirty(flow.path)
 
     def _finish_flow(self, flow: Flow) -> None:
@@ -462,8 +429,7 @@ class FlowNetwork:
                 f"flow {flow.label!r} finished with {flow.remaining} bytes left")
         self._remove(flow)
         flow.done.succeed(flow.size)
-        if (self.allocator == "reference"
-                or any(link.flows for link in flow.path)):
+        if any(link.flows for link in flow.path):
             # Departure frees capacity for whoever shared these links; a
             # flow that was alone on its whole path affects nobody.
             self._mark_dirty(flow.path)
@@ -647,14 +613,12 @@ class FlowNetwork:
     def _scope_flows(self, dirty: dict[Link, None]) -> list[Flow]:
         """Flows whose rates the pending membership changes could affect.
 
-        Reference allocator: every active flow.  Incremental: the connected
-        component(s) of the dirty links under the "shares a link with"
-        relation, in global start order (``_seq``) so the progressive
-        filling visits flows and links in exactly the order the reference
-        allocator would, restricted to the component.
+        The connected component(s) of the dirty links under the "shares a
+        link with" relation, in global start order (``_seq``) so the
+        progressive filling visits flows and links in exactly the order a
+        full recompute over every active flow would, restricted to the
+        component.
         """
-        if self.allocator == "reference":
-            return list(self._flows)
         self._scope_stamp += 1
         stamp = self._scope_stamp
         stack = list(dirty)
@@ -672,8 +636,7 @@ class FlowNetwork:
                         if other._mark != stamp:
                             other._mark = stamp
                             stack.append(other)
-        if (self.aggregation and not self._seq_order_dirty
-                and len(found) * 4 >= len(self._flows)):
+        if not self._seq_order_dirty and len(found) * 4 >= len(self._flows):
             # The registry is insertion-ordered and flows are never
             # re-registered, so filtering it against the component IS the
             # ``_seq`` sort — and for components spanning most of the
@@ -693,16 +656,12 @@ class FlowNetwork:
         self.reallocations += 1
         self.realloc_flow_touches += len(scope)
 
-        # Grouped filling returns one share per path class (identical-path
-        # flows provably share a rate); the flat pass returns per-flow.
-        agg = self.aggregation
-        shares = self._fill_grouped(scope) if agg else self._fill(scope)
-        get_share = shares.get
+        # One share per path class: identical-path flows provably share a
+        # rate.
+        get_share = self._fill_grouped(scope).get
 
         engine = self.engine
         drained: list[Flow] = []
-        ff = self.fast_forward
-        merge = self._merge
         cohorts: dict[float, _Cohort] = {}
         # Deferred byte contributions (see _settle_deferred) and drained
         # carriers' later-member completions, emitted at each member's seq
@@ -714,19 +673,16 @@ class FlowNetwork:
             while pending and pending[0][0] < flow._seq:
                 _s, done, size = _heappop(pending)
                 done.succeed(size)
-            rate = get_share(flow.path, 0.0) if agg else get_share(flow, 0.0)
+            rate = get_share(flow.path, 0.0)
             if rate <= 0:
                 raise SimulationError(
                     f"flow {flow.label!r} allocated zero rate — disconnected path?")
             if rate == flow.rate and flow._sched is not None:
                 # Allocation unchanged: the scheduled completion is still
                 # exact, and skipping the settle keeps remaining-bytes
-                # arithmetic identical between allocators.
+                # arithmetic identical to a full recompute.
                 continue
-            if merge:
-                self._settle_deferred(flow, sink)
-            else:
-                self._settle_flow(flow)
+            self._settle_deferred(flow, sink)
             flow.rate = rate
             self._cancel_sched(flow)
             if flow.remaining <= _flow_eps(flow):
@@ -741,24 +697,19 @@ class FlowNetwork:
                 drained.append(flow)
                 continue
             eta = flow.remaining / flow.rate
-            if ff:
-                # Flows completing at the bitwise-same instant share one
-                # engine entry.  Keyed by the absolute time the engine
-                # would file the entry under (now + eta, the same sum
-                # _schedule computes), so members whose etas differ in the
-                # last bit but land on the same heap key still coalesce in
-                # scheduling order.
-                at = engine.now + eta
-                cohort = cohorts.get(at)
-                if cohort is None:
-                    cohort = _Cohort(self)
-                    cohort.call = engine._schedule(eta, cohort.fire)
-                    cohorts[at] = cohort
-                cohort.members[flow] = None
-                flow._sched = cohort
-            else:
-                flow._sched = engine._schedule(
-                    eta, lambda f=flow: self._finish_flow(f))
+            # Flows completing at the bitwise-same instant share one engine
+            # entry.  Keyed by the absolute time the engine would file the
+            # entry under (now + eta, the same sum _schedule computes), so
+            # members whose etas differ in the last bit but land on the
+            # same heap key still coalesce in scheduling order.
+            at = engine.now + eta
+            cohort = cohorts.get(at)
+            if cohort is None:
+                cohort = _Cohort(self)
+                cohort.call = engine._schedule(eta, cohort.fire)
+                cohorts[at] = cohort
+            cohort.members[flow] = None
+            flow._sched = cohort
         while pending:
             _s, done, size = _heappop(pending)
             done.succeed(size)
@@ -766,54 +717,17 @@ class FlowNetwork:
             self._fold_bytes(sink)
         return drained
 
-    def _fill(self, scope: list[Flow]) -> dict[Flow, float]:
-        """One progressive-filling pass: the step-by-step round loop."""
-        unfrozen: dict[Flow, None] = dict.fromkeys(scope)
-        residual: dict[Link, float] = {}
-        link_unfrozen: dict[Link, dict[Flow, None]] = {}
-        for f in unfrozen:
-            for link in f.path:
-                if link not in residual:
-                    residual[link] = link.bandwidth
-                link_unfrozen.setdefault(link, {})[f] = None
-
-        rates: dict[Flow, float] = {}
-        while unfrozen:
-            # Bottleneck link: smallest per-flow fair share among links that
-            # still carry unfrozen flows.
-            bottleneck = None
-            best_share = None
-            for link, fset in link_unfrozen.items():
-                if not fset:
-                    continue
-                share = residual[link] / len(fset)
-                if best_share is None or share < best_share:
-                    best_share = share
-                    bottleneck = link
-            if bottleneck is None:
-                break  # all remaining flows have no constraining link
-            frozen_now = list(link_unfrozen[bottleneck])
-            for f in frozen_now:
-                rates[f] = best_share
-                unfrozen.pop(f, None)
-                for link in f.path:
-                    link_unfrozen[link].pop(f, None)
-                    if link is not bottleneck:
-                        residual[link] -= best_share
-            residual[bottleneck] = 0.0
-            link_unfrozen[bottleneck].clear()
-        return rates
-
     def _fill_grouped(self, scope: list[Flow]) -> dict[tuple, float]:
-        """Progressive filling over identical-path groups; exact vs ``_fill``.
+        """Progressive filling over identical-path groups.
 
         Identical-path flows are symmetric under max-min fairness — same
         constraint set, so they freeze in the same round at the same share
         — which lets *all* per-round bookkeeping run per path class
         instead of per flow: the return value maps each path class to its
         share, and the only per-flow work in the whole pass is the initial
-        two-dict-op grouping.  Bitwise equivalence to :meth:`_fill` rests
-        on four facts: (1) shares are computed as ``residual / count``
+        two-dict-op grouping.  Bitwise equivalence to the flat per-flow
+        round loop (the oracle's ``_fill`` in ``tests/sim/stepped.py``)
+        rests on four facts: (1) shares are computed as ``residual / count``
         with ``count`` the same per-flow membership total the flat pass
         uses; (2) within one round every frozen flow subtracts the *same*
         ``best_share``, so regrouping the per-member subtractions by path

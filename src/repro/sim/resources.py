@@ -53,14 +53,6 @@ class Resource:
         self._account()
         return self._busy_integral
 
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
     # -- protocol ---------------------------------------------------------
     def request(self) -> Event:
         """Return an event that fires when a slot is granted."""

@@ -83,8 +83,8 @@ class Tracer:
         failures, retries, reliable-protocol fallbacks, window
         activations, and — with a failure detector installed —
         suspicion/confirmation transitions, epoch-fence rejections, and
-        watchdog-diagnosed stalls.  The always-on engine-mode counters
-        (``engine:ff_jumps`` etc.) stay out, so an empty dict still
+        watchdog-diagnosed stalls.  The always-on engine fast-path
+        counters (``engine:ff_jumps`` etc.) stay out, so an empty dict still
         certifies a run saw no fault machinery at all.
         """
         out = {name[len("fault:"):]: val

@@ -1,4 +1,10 @@
-"""SRUMMA phase-traffic replay: determinism and mode equivalence."""
+"""SRUMMA phase-traffic replay: determinism and the fast-path counters.
+
+Equivalence with the stepped oracle is checked end to end in
+``tests/sim/test_engine_modes.py``.
+"""
+
+import contextlib
 
 import pytest
 
@@ -6,13 +12,13 @@ from repro.bench.traffic import srumma_phase_traffic
 from repro.machines.platforms import get_platform
 from repro.sim.cluster import Machine
 
-MODES_OFF = dict(batched_dispatch=False, fast_forward=False,
-                 aggregation=False)
+from ..sim.stepped import stepped_machines
 
 
-def _run(nranks=64, phases=2, subpanels=4, **tuning):
+def _run(nranks=64, phases=2, subpanels=4, oracle=False):
     spec = get_platform("linux-myrinet")
-    machine = Machine(spec, nranks, **tuning)
+    with stepped_machines() if oracle else contextlib.nullcontext():
+        machine = Machine(spec, nranks)
     return srumma_phase_traffic(machine, phases=phases, subpanels=subpanels,
                                 base_bytes=float(1 << 16))
 
@@ -24,21 +30,14 @@ def test_deterministic_across_runs():
     assert a["flows"] == b["flows"]
 
 
-def test_modes_do_not_change_virtual_time():
-    on = _run()
-    off = _run(**MODES_OFF)
-    assert on["virtual_elapsed"] == off["virtual_elapsed"]  # bitwise
-    assert on["flows"] == off["flows"]
-    assert on["reallocations"] == off["reallocations"]
-
-
 def test_bursts_actually_aggregate():
     # Each rank's sub-panel burst shares (path, size, instant) with its
-    # node sibling: the aggregated engine must fold members into carriers.
+    # node sibling: the product must fold members into carriers, which the
+    # step-by-step oracle never does.
     on = _run()
     assert on["flows_aggregated"] > on["flows"]
     assert on["ff_jumps"] > 0
-    off = _run(**MODES_OFF)
+    off = _run(oracle=True)
     assert off["flows_aggregated"] == 0
     assert off["ff_jumps"] == 0
 

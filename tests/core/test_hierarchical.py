@@ -75,16 +75,6 @@ class TestSyntheticSchedule:
         assert synth.elapsed == real.elapsed
         assert synth.c is None and synth.max_error is None
 
-    def test_engine_modes_do_not_change_virtual_time(self):
-        on = hierarchical_multiply(LINUX_MYRINET, nranks=16, m=256, n=256,
-                                   k=256, payload="synthetic")
-        off = hierarchical_multiply(
-            LINUX_MYRINET, nranks=16, m=256, n=256, k=256,
-            payload="synthetic",
-            tuning=dict(batched_dispatch=False, fast_forward=False,
-                        aggregation=False))
-        assert on.elapsed == off.elapsed  # bitwise, no tolerance
-
 
 class TestScaling:
     def test_leaders_only_touch_the_network(self):

@@ -1,40 +1,23 @@
-"""Exact equivalence of the large-rank engine modes.
+"""The product engine against the step-by-step oracle, bit for bit.
 
-PR 1 proved the incremental allocator bit-for-bit against the reference
-sweep.  The scaling modes added on top — batched event dispatch
-(``Engine(batched_dispatch=...)``), analytic fast-forward of coincident
-completions (``FlowNetwork(fast_forward=...)``), and per-class flow
-aggregation (``FlowNetwork(aggregation=...)``) — carry the same contract:
-every observable (completion instants, per-link byte counters, final
-virtual time, mid-run rates) must be **bitwise identical** (``==`` on
-floats, no tolerance) across every mode combination, including under
-aborts and mid-flight bandwidth changes.  These tests extend the PR 1
-oracle to the full mode matrix.
+The engine and flow network take exact shortcuts to scale to thousands
+of ranks: same-instant batched dispatch, component-scoped reallocation,
+per-class progressive filling, carrier flows for identical same-instant
+transfers, and one completion entry per cohort of coincident
+completions.  Every observable (completion instants, per-link byte
+counters, final virtual time) must be **bitwise identical** (``==`` on
+floats, no tolerance) to the plain step-by-step simulation kept in
+``tests/sim/stepped.py`` — including under aborts, mid-flight bandwidth
+changes, and end to end through the public entry points.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Engine, FlowNetwork, Link, Timeout
+from repro.sim import Link, Timeout
 
-# Every switch combination that must agree with the reference sweep.  The
-# reference allocator itself forces all modes off, so it anchors the matrix.
-MODE_MATRIX = [
-    dict(batched=False, fast_forward=False, aggregation=False),  # stepped
-    dict(batched=True, fast_forward=False, aggregation=False),
-    dict(batched=False, fast_forward=True, aggregation=False),
-    dict(batched=False, fast_forward=False, aggregation=True),
-    dict(batched=True, fast_forward=True, aggregation=True),     # default
-]
-
-
-def _build(allocator="incremental", batched=True, fast_forward=True,
-           aggregation=True):
-    eng = Engine(batched_dispatch=batched)
-    net = FlowNetwork(eng, allocator=allocator, fast_forward=fast_forward,
-                      aggregation=aggregation)
-    return eng, net
+from .stepped import flow_network, stepped_machines
 
 
 @st.composite
@@ -67,9 +50,9 @@ def _flow_soups(draw):
     return bandwidths, flows, aborts
 
 
-def _run_soup(bandwidths, flow_specs, aborts, allocator="incremental",
-              **modes):
-    eng, net = _build(allocator=allocator, **modes)
+def _run_soup(bandwidths, flow_specs, aborts, oracle=False):
+    net = flow_network(oracle)
+    eng = net.engine
     links = [Link(f"l{i}", bw) for i, bw in enumerate(bandwidths)]
     completions: dict[int, float] = {}
     events: dict[int, object] = {}
@@ -113,11 +96,10 @@ def _run_soup(bandwidths, flow_specs, aborts, allocator="incremental",
 @given(_flow_soups())
 @settings(max_examples=100, deadline=None)
 def test_mode_matrix_matches_reference_exactly(soup):
+    """Random soups with aborts: the product equals the stepped oracle."""
     bandwidths, flow_specs, aborts = soup
-    ref = _run_soup(bandwidths, flow_specs, aborts, allocator="reference")
-    for modes in MODE_MATRIX:
-        got = _run_soup(bandwidths, flow_specs, aborts, **modes)
-        assert got == ref, f"divergence with modes {modes}"
+    ref = _run_soup(bandwidths, flow_specs, aborts, oracle=True)
+    assert _run_soup(bandwidths, flow_specs, aborts) == ref
 
 
 @given(_flow_soups())
@@ -125,11 +107,12 @@ def test_mode_matrix_matches_reference_exactly(soup):
 def test_fast_forward_with_brownouts_matches_reference(soup):
     """A bandwidth change landing inside a fast-forwarded interval must
     invalidate the scheduled analytic jump: results stay bitwise equal to
-    the reference sweep with the change applied step-by-step."""
+    the stepped oracle with the change applied step by step."""
     bandwidths, flow_specs, _ = soup
 
-    def run(allocator, **modes):
-        eng, net = _build(allocator=allocator, **modes)
+    def run(oracle):
+        net = flow_network(oracle)
+        eng = net.engine
         links = [Link(f"l{i}", bw) for i, bw in enumerate(bandwidths)]
         completions = {}
 
@@ -162,16 +145,11 @@ def test_fast_forward_with_brownouts_matches_reference(soup):
             "final_now": eng.now,
         }
 
-    ref = run("reference")
-    for modes in MODE_MATRIX:
-        assert run("incremental", **modes) == ref, \
-            f"brownout divergence with modes {modes}"
+    assert run(oracle=False) == run(oracle=True)
 
 
-def test_fault_plan_brownout_identical_across_modes():
-    """End to end: a PR 4 ``FaultPlan`` brownout driven through a real
-    SRUMMA run lands mid-phase inside fast-forwarded intervals; the
-    degraded timeline must be bitwise identical with every mode off."""
+def _srumma_brownout():
+    """A ``FaultPlan`` brownout that lands mid-phase inside cohort jumps."""
     from repro.core.api import srumma_multiply
     from repro.machines import LINUX_MYRINET
     from repro.sim.faults import FaultPlan, LinkBrownout
@@ -181,17 +159,66 @@ def test_fault_plan_brownout_identical_across_modes():
     plan = FaultPlan(brownouts=(
         LinkBrownout(node=3, t_start=0.2 * healthy.elapsed,
                      t_end=0.6 * healthy.elapsed, factor=0.1),))
-    runs = {}
-    for name, tuning in (("on", None),
-                         ("off", dict(batched_dispatch=False,
-                                      fast_forward=False,
-                                      aggregation=False))):
-        res = srumma_multiply(LINUX_MYRINET, 16, 384, 384, 384,
-                              payload="synthetic", verify=False,
-                              faults=plan, tuning=tuning)
-        runs[name] = res.elapsed
-    assert runs["on"] > healthy.elapsed  # the brownout actually bit
-    assert runs["on"] == runs["off"]     # bitwise, no tolerance
+    res = srumma_multiply(LINUX_MYRINET, 16, 384, 384, 384,
+                          payload="synthetic", verify=False, faults=plan)
+    assert res.elapsed > healthy.elapsed  # the brownout actually bit
+    return res.elapsed, res.run.machine
+
+
+def _hierarchical():
+    from repro.core.hierarchical import hierarchical_multiply
+    from repro.machines import LINUX_MYRINET
+
+    res = hierarchical_multiply(LINUX_MYRINET, nranks=16, m=256, n=256,
+                                k=256, payload="synthetic")
+    return res.elapsed, res.run.machine
+
+
+def _phase_traffic():
+    from repro.bench.traffic import srumma_phase_traffic
+    from repro.machines.platforms import get_platform
+    from repro.sim.cluster import Machine
+
+    machine = Machine(get_platform("linux-myrinet"), 64)
+    st = srumma_phase_traffic(machine, phases=2, subpanels=4,
+                              base_bytes=float(1 << 16))
+    return (st["virtual_elapsed"], st["flows"]), machine
+
+
+def _summa():
+    from repro.baselines.summa import summa_multiply
+    from repro.machines import LINUX_MYRINET
+
+    res = summa_multiply(LINUX_MYRINET, 16, 384, 384, 384,
+                         payload="synthetic")
+    return res.elapsed, res.run.machine
+
+
+def _pdgemm():
+    from repro.baselines.pdgemm import pdgemm_multiply
+    from repro.machines import IBM_SP
+
+    res = pdgemm_multiply(IBM_SP, 12, 300, 260, 280, payload="synthetic")
+    return res.elapsed, res.run.machine
+
+
+@pytest.mark.parametrize("case", [_srumma_brownout, _hierarchical,
+                                  _phase_traffic, _summa, _pdgemm],
+                         ids=["srumma-brownout", "hierarchical",
+                              "phase-traffic", "summa", "pdgemm"])
+def test_end_to_end_matches_stepped_oracle(case):
+    """Public entry points give bitwise the oracle's virtual time and
+    per-link traffic."""
+    def observe():
+        result, machine = case()
+        links = [(n.nic_out.bytes_carried, n.nic_in.bytes_carried,
+                  n.mem.bytes_carried) for n in machine.nodes]
+        return result, machine.engine.now, links
+
+    product = observe()
+    with stepped_machines():
+        oracle = observe()
+    assert product == oracle  # bitwise, no tolerance
 
 
 class TestBrownoutInsideFastForwardedInterval:
@@ -199,10 +226,9 @@ class TestBrownoutInsideFastForwardedInterval:
     transfers merge into one carrier whose completion is one analytic jump
     away; a brownout strikes strictly inside that interval."""
 
-    def _scenario(self, allocator, batched=True, fast_forward=True,
-                  aggregation=True):
-        eng, net = _build(allocator=allocator, batched=batched,
-                          fast_forward=fast_forward, aggregation=aggregation)
+    def _scenario(self, oracle=False):
+        net = flow_network(oracle)
+        eng = net.engine
         link = Link("nic", 100.0)
         other = Link("nic2", 100.0)
         completions = {}
@@ -235,14 +261,10 @@ class TestBrownoutInsideFastForwardedInterval:
         return completions, link.bytes_carried, other.bytes_carried, eng.now
 
     def test_brownout_invalidates_the_jump(self):
-        ref = self._scenario("reference")
-        for modes in MODE_MATRIX:
-            got = self._scenario("incremental", **modes)
-            assert got == ref, f"divergence with modes {modes}"
+        assert self._scenario() == self._scenario(oracle=True)
 
     def test_timeline_is_the_degraded_one(self):
-        completions, carried, other_carried, final = self._scenario(
-            "incremental")
+        completions, carried, other_carried, final = self._scenario()
         # 4 x 400 B on 100 B/s: healthy finish would be t=16.  Browned out
         # to 10 B/s over [5, 9]: 5*100 + 4*10 = 540 B done, 1060 B left at
         # 100 B/s -> t = 9 + 10.6 = 19.6.  A stale analytic jump would have

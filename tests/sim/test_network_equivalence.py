@@ -1,14 +1,15 @@
-"""Incremental vs reference allocator: bit-for-bit equivalence.
+"""The product allocator against the full-recompute oracle, bit for bit.
 
-The incremental allocator (``FlowNetwork(allocator="incremental")``, the
-default) restricts each max-min recomputation to the connected component
-of links touched by a membership change, takes fast paths for uncontended
-joins/leaves, and coalesces same-instant changes.  The reference allocator
-recomputes over *all* active flows under the same settle/reschedule
-discipline.  Determinism is load-bearing for the whole reproduction, so
-the two must agree **exactly** — same completion instants (``==`` on
-floats, no tolerance), same per-link ``bytes_carried``, same mid-run
-rates.  The invariants behind this are documented in docs/performance.md.
+The product allocator restricts each max-min recomputation to the
+connected component of links touched by a membership change, takes fast
+paths for uncontended joins/leaves, fills per path class, and coalesces
+same-instant changes.  The oracle in ``tests/sim/stepped.py`` recomputes
+over *all* active flows with the flat per-flow filling loop under the
+same settle/reschedule discipline.  Determinism is load-bearing for the
+whole reproduction, so the two must agree **exactly** — same completion
+instants (``==`` on floats, no tolerance), same per-link
+``bytes_carried``, same mid-run rates.  The invariants behind this are
+documented in docs/performance.md.
 """
 
 import random
@@ -16,7 +17,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Engine, FlowNetwork, Link, Timeout
+from repro.sim import Link, Timeout
+
+from .stepped import flow_network
 
 
 @st.composite
@@ -38,10 +41,10 @@ def _flow_schedules(draw):
     return bandwidths, flows
 
 
-def _simulate(allocator, bandwidths, flow_specs, probe_times=()):
+def _simulate(oracle, bandwidths, flow_specs, probe_times=()):
     """Run one schedule; return every observable the allocators must agree on."""
-    eng = Engine()
-    net = FlowNetwork(eng, allocator=allocator)
+    net = flow_network(oracle)
+    eng = net.engine
     links = [Link(f"l{i}", bw) for i, bw in enumerate(bandwidths)]
     completions: dict[int, float] = {}
 
@@ -96,20 +99,20 @@ def _quiescent_probes(event_times):
 @settings(max_examples=120, deadline=None)
 def test_incremental_matches_reference_exactly(schedule):
     bandwidths, flow_specs = schedule
-    # Pass 1: discover the event times from the (deterministic) reference
+    # Pass 1: discover the event times from the (deterministic) oracle
     # run, so rate probes land at quiescent instants — mid-event sampling
     # would race the same-instant coalescing flush, which is unordered
     # relative to foreign processes.
-    base = _simulate("reference", bandwidths, flow_specs)
+    base = _simulate(True, bandwidths, flow_specs)
     event_times = ([start for _, _, start in flow_specs]
                    + [t for _, t in base["completions"]])
     probes = _quiescent_probes(event_times)
 
-    ref = _simulate("reference", bandwidths, flow_specs, probe_times=probes)
-    inc = _simulate("incremental", bandwidths, flow_specs, probe_times=probes)
+    ref = _simulate(True, bandwidths, flow_specs, probe_times=probes)
+    inc = _simulate(False, bandwidths, flow_specs, probe_times=probes)
 
     # Probes are pure observers at event-free instants: they must not have
-    # perturbed the reference run at all.
+    # perturbed the oracle run at all.
     assert ref["completions"] == base["completions"]
 
     # Exact agreement — no pytest.approx anywhere.
@@ -133,16 +136,15 @@ def test_seeded_soaks_match_exactly():
             path = tuple(rng.sample(range(n_links), path_len))
             start = rng.randint(0, 20) * 0.25
             flows.append((size, path, start))
-        ref = _simulate("reference", bandwidths, flows)
-        inc = _simulate("incremental", bandwidths, flows)
+        ref = _simulate(True, bandwidths, flows)
+        inc = _simulate(False, bandwidths, flows)
         assert inc == ref, f"divergence at seed {seed}"
 
 
 def test_incremental_touches_fewer_flows_on_disjoint_traffic():
     """Scoping must pay off: disjoint flow pairs never see each other."""
-    eng_ref, eng_inc = Engine(), Engine()
-    nets = {"reference": FlowNetwork(eng_ref, allocator="reference"),
-            "incremental": FlowNetwork(eng_inc, allocator="incremental")}
+    nets = {"reference": flow_network(oracle=True),
+            "incremental": flow_network(oracle=False)}
     touches = {}
     for name, net in nets.items():
         eng = net.engine
@@ -160,16 +162,7 @@ def test_incremental_touches_fewer_flows_on_disjoint_traffic():
         eng.run()
         assert net.completed_flows == 40
         touches[name] = net.realloc_flow_touches
-    # Reference passes sweep every active flow; incremental stays inside
-    # each two-flow component.
+    # Oracle passes sweep every active flow; the product stays inside each
+    # two-flow component.
     assert touches["incremental"] < touches["reference"]
 
-
-def test_unknown_allocator_rejected():
-    eng = Engine()
-    try:
-        FlowNetwork(eng, allocator="magic")
-    except ValueError as exc:
-        assert "magic" in str(exc)
-    else:  # pragma: no cover
-        raise AssertionError("bad allocator name accepted")
